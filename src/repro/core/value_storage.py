@@ -25,7 +25,7 @@ from __future__ import annotations
 import zlib
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Deque, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.faults.errors import CorruptionError
 from repro.sim.resources import VLock
@@ -100,7 +100,15 @@ class ValueStorage:
         self.mirror_write_failures = 0
         self.ring = IOUring(ssd, queue_depth)
         self.num_chunks = ssd.capacity // chunk_size
-        self._free: deque = deque(range(self.num_chunks))
+        # Free space costs O(used chunks), not O(device): ids at or past
+        # the bump pointer that are not in ``_skip`` (chunks recovered
+        # live by ``rebuild_from``) are free, plus every id in the
+        # ``_recycled`` FIFO.  Allocation order is fixed — fresh ids in
+        # ascending order, then released ids in release order — and the
+        # determinism goldens depend on it.
+        self._next_fresh = 0
+        self._skip: Set[int] = set()
+        self._recycled: Deque[int] = deque()
         self._chunks: Dict[int, _ChunkInfo] = {}
         self._alloc_lock = VLock(name=f"vs{vs_id}-chunk-alloc")
         self._open_sync: Dict[int, int] = {}  # tid -> open chunk (ablation)
@@ -113,7 +121,10 @@ class ValueStorage:
     # ------------------------------------------------------------------
     @property
     def free_chunks(self) -> int:
-        return len(self._free)
+        return (
+            self.num_chunks - self._next_fresh - len(self._skip)
+            + len(self._recycled)
+        )
 
     @property
     def used_chunks(self) -> int:
@@ -132,9 +143,16 @@ class ValueStorage:
         try:
             if thread is not None:
                 thread.spend(50e-9)
-            if not self._free:
+            while self._next_fresh in self._skip:
+                self._skip.remove(self._next_fresh)
+                self._next_fresh += 1
+            if self._next_fresh < self.num_chunks:
+                chunk_id = self._next_fresh
+                self._next_fresh += 1
+            elif self._recycled:
+                chunk_id = self._recycled.popleft()
+            else:
                 raise StorageError(f"vs{self.vs_id}: no free chunks")
-            chunk_id = self._free.popleft()
             self._chunks[chunk_id] = _ChunkInfo()
             return chunk_id
         finally:
@@ -242,8 +260,7 @@ class ValueStorage:
             # garbage, which is exactly what reusing the chunk erases.
             for cid, _, _ in pending:
                 if cid in self._chunks:
-                    del self._chunks[cid]
-                    self._free.append(cid)
+                    self._release_chunk(cid)
             raise
         self.crash_point.maybe_crash("vs.write.done")
         return placements, done
@@ -383,8 +400,10 @@ class ValueStorage:
             self._release_chunk(chunk_id)
 
     def _release_chunk(self, chunk_id: int) -> None:
+        # A recovered chunk the bump pointer has not passed stays in
+        # ``_skip``, so it comes back only from the recycled FIFO.
         del self._chunks[chunk_id]
-        self._free.append(chunk_id)
+        self._recycled.append(chunk_id)
 
     # ------------------------------------------------------------------
     # garbage collection (greedy, §5.2)
@@ -411,15 +430,18 @@ class ValueStorage:
         """Reconstruct chunk state and validity bitmaps after a crash.
 
         ``live`` maps (chunk_id, offset) -> (hsit_idx, size) for every
-        record the HSIT proved reachable.  Everything else is garbage;
-        untouched chunks return to the free list.
+        record the HSIT proved reachable.  Everything else is garbage:
+        every chunk without a live record is free again, handed out in
+        ascending id order before any chunk released afterwards.  Costs
+        O(live records), independent of device capacity.
         """
         self._chunks.clear()
-        self._free = deque(range(self.num_chunks))
         by_chunk: Dict[int, List[Tuple[int, int, int]]] = {}
         for (chunk_id, offset), (hsit_idx, size) in live.items():
             by_chunk.setdefault(chunk_id, []).append((offset, hsit_idx, size))
-        remaining = deque(cid for cid in self._free if cid not in by_chunk)
+        self._next_fresh = 0
+        self._skip = set(by_chunk)
+        self._recycled = deque()
         for chunk_id, slots in by_chunk.items():
             info = _ChunkInfo()
             for offset, hsit_idx, size in slots:
@@ -428,4 +450,3 @@ class ValueStorage:
                 info.live_bytes += size
                 info.write_head = max(info.write_head, offset + self.header_size + size)
             self._chunks[chunk_id] = info
-        self._free = remaining
