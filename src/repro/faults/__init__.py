@@ -9,10 +9,13 @@ The subsystem has four layers:
 * :mod:`repro.faults.retry` — :class:`RetryPolicy`/:class:`RetryExecutor`
   for bounded retries with virtual-time backoff and escalation to
   permanent device death;
-* :mod:`repro.faults.crash_sweep` — automated crash exploration: it
-  discovers every named crash point a workload reaches, crashes at each
-  one, recovers, and checks the durability contract and the cross-media
-  audit.
+* :mod:`repro.faults.crash_sweep` — automated crash exploration: one
+  driver discovers every named crash point a workload reaches, crashes
+  at each one, and checks the durability contract plus the target's own
+  audit.  A small target protocol plugs in what differs per system: a
+  single store (:class:`~repro.faults.crash_sweep.StoreTarget`, recover then
+  :func:`~repro.core.checker.audit`) here, and the cluster, gray and
+  rebalance targets in :mod:`repro.cluster.crash_sweep`.
 
 See the "Fault model" section of ``docs/simulation-model.md``.
 """

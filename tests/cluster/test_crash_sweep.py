@@ -3,25 +3,25 @@ never surface a lost or stale value through the router."""
 
 import pytest
 
-from repro.cluster.crash_sweep import ClusterCrashSweep
-from repro.faults.crash_sweep import default_ops, main as sweep_main
+from repro.cluster.crash_sweep import ClusterTarget
+from repro.faults.crash_sweep import CrashSweep, default_ops, main as sweep_main
 
 
 @pytest.fixture(scope="module")
-def sweep() -> ClusterCrashSweep:
-    return ClusterCrashSweep(ops=default_ops(num_ops=160, num_keys=32))
+def sweep() -> CrashSweep:
+    return CrashSweep(ClusterTarget(), default_ops(num_ops=160, num_keys=32))
 
 
 @pytest.fixture(scope="module")
 def labels(sweep):
-    found = sweep.discover()
+    found = sweep.discover().workload_labels
     assert found, "workload reached no crash points on shard 0"
     return found
 
 
 class TestDiscovery:
     def test_discovery_is_deterministic(self, sweep, labels):
-        assert sweep.discover() == labels
+        assert sweep.discover().workload_labels == labels
 
     def test_labels_cover_write_path(self, labels):
         # The tight shard config must at least reach PWB writeback.

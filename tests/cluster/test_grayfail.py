@@ -9,10 +9,10 @@ import json
 import pytest
 
 from repro.bench import grayfail as gf
-from repro.cluster.crash_sweep import ClusterCrashSweep
+from repro.cluster.crash_sweep import ClusterTarget
 from repro.cluster.health import HealthConfig
 from repro.cluster.runner import GrayPlan
-from repro.faults.crash_sweep import default_ops
+from repro.faults.crash_sweep import CrashSweep, default_ops
 
 SMOKE = dict(num_keys=800, num_ops=2500)
 
@@ -94,11 +94,11 @@ class TestDeterminism:
 class TestGrayCrashSweep:
     def test_gray_shard_must_differ_from_crash_shard(self):
         with pytest.raises(ValueError):
-            ClusterCrashSweep(gray_shard=0)
+            ClusterTarget(gray_shard=0)
 
     def test_kill_under_gray_keeps_durability(self):
-        sweep = ClusterCrashSweep(
-            ops=default_ops(120, 30, seed=7), gray_shard=1
+        sweep = CrashSweep(
+            ClusterTarget(gray_shard=1), default_ops(120, 30, seed=7)
         )
         report = sweep.run()
         assert report.ok, report.summary()
@@ -114,7 +114,7 @@ class TestFullGates:
         assert ok_cost, msg
 
     def test_full_gray_crash_sweep(self):
-        sweep = ClusterCrashSweep(gray_shard=1)
+        sweep = CrashSweep(ClusterTarget(gray_shard=1), default_ops())
         report = sweep.run()
         assert report.ok, report.summary()
 

@@ -25,7 +25,7 @@ from repro.cluster.admission import (
     AdmissionController,
 )
 from repro.cluster.crash_sweep import (
-    RebalanceCrashSweep,
+    RebalanceTarget,
     default_cluster_factory,
 )
 from repro.cluster.errors import RebalanceInProgressError, ShardDrainingError
@@ -43,7 +43,7 @@ from repro.cluster.runner import (
     run_cluster_workload,
 )
 from repro.cluster.shard import STATE_DRAINING, STATE_RETIRED
-from repro.faults.crash_sweep import default_ops
+from repro.faults.crash_sweep import CrashSweep, default_ops
 from repro.obs.metrics import EventLog, MetricsRegistry
 from repro.sim.vthread import VThread
 from repro.workloads.ycsb import WorkloadSpec
@@ -459,13 +459,11 @@ class TestDeterminism:
 # ----------------------------------------------------------------------
 @pytest.mark.slow_rebalance
 class TestRebalanceSweep:
-    @pytest.mark.parametrize("role", RebalanceCrashSweep.ROLES)
+    @pytest.mark.parametrize("role", RebalanceTarget.ROLES)
     def test_sweep_role_passes(self, role):
-        sweep = RebalanceCrashSweep(
-            ops=default_ops(160, 40, 7), role=role
-        )
+        sweep = CrashSweep(RebalanceTarget(role), default_ops(160, 40, 7))
         report = sweep.run()
-        assert report.labels, "no crash labels reached inside the window"
+        assert report.workload_labels, "no crash labels reached inside the window"
         assert report.ok, report.summary()
 
 

@@ -3,12 +3,7 @@ labels, and a crash at every one of them recovers cleanly."""
 
 import pytest
 
-from repro.faults.crash_sweep import (
-    CrashSweep,
-    default_ops,
-    default_store_factory,
-    main,
-)
+from repro.faults.crash_sweep import CrashSweep, StoreTarget, default_ops, main
 
 # Protocol points that any non-trivial workload must reach.
 CORE_WORKLOAD_LABELS = {
@@ -32,11 +27,12 @@ CORE_RECOVERY_LABELS = {
 
 @pytest.fixture(scope="module")
 def sweep() -> CrashSweep:
-    return CrashSweep(default_store_factory, default_ops(160))
+    return CrashSweep(StoreTarget(), default_ops(160))
 
 
 def test_discovery_splits_workload_and_recovery_labels(sweep):
-    workload, recovery = sweep.discover()
+    found = sweep.discover()
+    workload, recovery = found.workload_labels, found.recovery_labels
     assert CORE_WORKLOAD_LABELS <= set(workload)
     assert CORE_RECOVERY_LABELS <= set(recovery)
     assert all(count >= 1 for count in workload.values())
@@ -65,8 +61,7 @@ def test_crash_during_recovery_is_idempotent(sweep):
     for label in sorted(CORE_RECOVERY_LABELS):
         outcome = sweep.verify_recovery_label(label)
         assert outcome.fired, label
-        assert outcome.ok, (label, outcome.audit_violations,
-                            outcome.durability_violations)
+        assert outcome.ok, (label, outcome.violations)
 
 
 def test_cli_smoke(capsys):
@@ -77,7 +72,7 @@ def test_cli_smoke(capsys):
 
 @pytest.mark.slow_faults
 def test_fuzzed_occurrences_all_recover():
-    sweep = CrashSweep(default_store_factory, default_ops(400))
+    sweep = CrashSweep(StoreTarget(), default_ops(400))
     outcomes = sweep.fuzz(trials=30, seed=3)
     bad = [o for o in outcomes if o.fired and not o.ok]
     assert not bad, [str(o) for o in bad]

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.faults.crash_sweep import CrashSweep, default_ops, tiered_store_factory
+from repro.faults.crash_sweep import CrashSweep, StoreTarget, default_ops
 
 TIER_LABELS = {
     "tier.demote.pre_publish",
@@ -20,8 +20,8 @@ TIER_LABELS = {
 
 
 def test_workload_reaches_every_tier_crash_label():
-    sweep = CrashSweep(tiered_store_factory, default_ops())
-    workload, _recovery = sweep.discover()
+    sweep = CrashSweep(StoreTarget(tiered=True), default_ops())
+    workload = sweep.discover().workload_labels
     missing = TIER_LABELS - set(workload)
     assert not missing, f"tier crash labels never reached: {missing}"
 
@@ -30,19 +30,16 @@ def test_crash_inside_demotion_and_promotion_recovers():
     """Sweep just the tier labels (the full-label sweep runs under the
     slow_tiering marker): crash at each, recover, audit, and check
     acknowledged durability."""
-    sweep = CrashSweep(tiered_store_factory, default_ops())
+    sweep = CrashSweep(StoreTarget(tiered=True), default_ops())
     for label in sorted(TIER_LABELS):
         outcome = sweep.verify_label(label)
         assert outcome.fired, label
-        assert outcome.ok, (
-            f"{label}: audit={outcome.audit_violations} "
-            f"durability={outcome.durability_violations}"
-        )
+        assert outcome.ok, f"{label}: {outcome.violations}"
 
 
 @pytest.mark.slow_tiering
 def test_full_tiered_crash_sweep_is_green():
-    sweep = CrashSweep(tiered_store_factory, default_ops())
+    sweep = CrashSweep(StoreTarget(tiered=True), default_ops())
     report = sweep.run()
     assert TIER_LABELS <= set(report.workload_labels)
     assert report.ok, report.summary()
@@ -50,7 +47,7 @@ def test_full_tiered_crash_sweep_is_green():
 
 @pytest.mark.slow_tiering
 def test_tiered_crash_fuzz_is_green():
-    sweep = CrashSweep(tiered_store_factory, default_ops())
+    sweep = CrashSweep(StoreTarget(tiered=True), default_ops())
     outcomes = sweep.fuzz(trials=10, seed=9)
     bad = [o for o in outcomes if not o.ok]
     assert not bad, [str(o) for o in bad]
