@@ -1345,8 +1345,26 @@ class Prism:
                 misses_setdefault(loc.vs_id, []).append(
                     (loc.chunk_id, loc.vs_offset, idx, key)
                 )
-            for vs_id, items in misses.items():
-                for idx, key, value in self._fetch_merged(vs_id, items, thread):
+            # Every Value Storage's merged batch goes to its own ring
+            # before the thread waits, so the devices serve them in
+            # parallel virtual time and the scan pays the slowest one.
+            plans = [
+                (vs_id, self._plan_merged(vs_id, items))
+                for vs_id, items in misses.items()
+            ]
+            if plans:
+                t1 = submitted_at = done = thread.now
+                for vs_id, (requests, _) in plans:
+                    combiner = self.combiners[vs_id]
+                    done = max(done, combiner.submit(thread, requests))
+                    submitted_at = max(submitted_at, combiner.submitted_at)
+                thread.wait_until(done)
+                if m.enabled:
+                    combiner.record_wait(m, t1, submitted_at, done)
+            for vs_id, (requests, runs) in plans:
+                for idx, key, value in self._parse_merged(
+                    vs_id, requests, runs, thread
+                ):
                     results[key] = value
                     if self.config.enable_svc:
                         entry_id = self.svc.admit(idx, key, value, thread)
@@ -1362,55 +1380,56 @@ class Prism:
             self.epoch.exit(thread.tid)
             self._tick()
 
-    def _fetch_merged(
-        self,
-        vs_id: int,
-        items: Sequence[Tuple[int, int, int, bytes]],
-        thread: VThread,
-    ) -> List[Tuple[int, bytes, bytes]]:
-        """Read records from one Value Storage, merging adjacent ones.
+    def _plan_merged(
+        self, vs_id: int, items: Sequence[Tuple[int, int, int, bytes]]
+    ) -> Tuple[List[IORequest], List[list]]:
+        """Merge adjacent records of one Value Storage into runs, one
+        read request per run.
 
         Scan-aware reorganization places values of a range contiguously
         in a chunk; merging adjacent records into single IOs is where
-        that locality pays off (fewer, larger SSD reads).
+        that locality pays off (fewer, larger SSD reads).  Each run is
+        ``[chunk_id, first offset, end offset, items]``.
         """
         vs = self.storages[vs_id]
-        ordered = sorted(items)
-        runs: List[List[Tuple[int, int, int, bytes]]] = []
-        for item in ordered:
-            chunk_id, offset, idx, key = item
-            size = vs.slot_size(chunk_id, offset)
+        header = vs.header_size
+        slot_size = vs.slot_size
+        runs: List[list] = []
+        for item in sorted(items):
+            chunk_id, offset = item[0], item[1]
+            end = offset + header + slot_size(chunk_id, offset)
             if runs:
-                last = runs[-1][-1]
-                last_end = last[1] + vs.header_size + vs.slot_size(last[0], last[1])
-                if last[0] == chunk_id and offset == last_end:
-                    runs[-1].append(item)
+                run = runs[-1]
+                if run[0] == chunk_id and run[2] == offset:
+                    run[2] = end
+                    run[3].append(item)
                     continue
-            runs.append([item])
-        requests = []
-        spans: List[List[Tuple[int, int, int, bytes]]] = []
-        for run in runs:
-            first_chunk, first_off, _, _ = run[0]
-            last_chunk, last_off, _, _ = run[-1]
-            end = last_off + vs.header_size + vs.slot_size(last_chunk, last_off)
-            requests.append(
-                IORequest(
-                    "read",
-                    first_chunk * vs.chunk_size + first_off,
-                    end - first_off,
-                )
-            )
-            spans.append(run)
-        self.combiners[vs_id].read(thread, requests, self.metrics)
+            runs.append([chunk_id, offset, end, [item]])
+        chunk_size = vs.chunk_size
+        requests = [
+            IORequest("read", chunk_id * chunk_size + first, end - first)
+            for chunk_id, first, end, _ in runs
+        ]
+        return requests, runs
+
+    def _parse_merged(
+        self,
+        vs_id: int,
+        requests: Sequence[IORequest],
+        runs: Sequence[list],
+        thread: VThread,
+    ) -> List[Tuple[int, bytes, bytes]]:
+        """Split completed merged reads back into ``(idx, key, value)``,
+        in plan order; a record failing its checksum is read-repaired."""
+        vs = self.storages[vs_id]
+        parse_record = vs.parse_record
         out: List[Tuple[int, bytes, bytes]] = []
-        for req, run in zip(requests, spans):
-            assert req.result is not None
-            base = run[0][1]
-            for chunk_id, offset, idx, key in run:
-                rel = offset - base
-                raw = req.result[rel:]
+        for req, (_, base, _, items) in zip(requests, runs):
+            raw = req.result
+            assert raw is not None
+            for chunk_id, offset, idx, key in items:
                 try:
-                    _, value = vs.parse_record(raw)
+                    _, value = parse_record(raw, at=offset - base)
                 except CorruptionError:
                     self.metrics.counter("corruption.detected").inc()
                     value = self._repair_read(

@@ -71,6 +71,7 @@ class ThreadCombiner:
         self._batch_count = 0
         self.batches = 0
         self.combined_requests = 0
+        self.submitted_at = 0.0
 
     @property
     def coalescing_limit(self) -> int:
@@ -91,19 +92,41 @@ class ThreadCombiner:
         """
         if not requests:
             return thread.now
+        t = thread.now
+        done = self.submit(thread, requests)
+        # thread.wait_until(done) inlined (hot path).
+        if done > thread.now:
+            thread.now = done
+            clock = thread.clock
+            if done > clock._now:
+                clock._now = done
+        if metrics.enabled:
+            self.record_wait(metrics, t, self.submitted_at, done)
+        return done
+
+    def submit(self, thread: VThread, requests: Sequence[IORequest]) -> float:
+        """Place ``requests`` (at least one) for one thread without
+        waiting for them.
+
+        The thread pays the leader's or follower's CPU cost; the return
+        value is the completion time of its requests, which the caller
+        waits for (``read`` does so at once; a scan first submits to
+        every Value Storage).  ``submitted_at`` is left at the instant
+        the requests left the TCQ for the ring.  ``MODE_SYNC`` is the
+        synchronous-IO strawman: it blocks here, so back-to-back
+        submissions stay serial.
+        """
+        t = thread.now
         if self.mode == MODE_SYNC:
-            start = thread.now
-            done = self.ring.submit_and_wait(thread.now, requests)
+            done = self.ring.submit_and_wait(t, requests)
             thread.wait_until(done)
-            if metrics.enabled:
-                metrics.phase("read", "ssd_wait", done - start)
+            self.submitted_at = t
             return done
         window = (
             self.combine_window
             if self.mode == MODE_THREAD_COMBINING
             else self.timeout_window
         )
-        t = thread.now
         limit = self.coalescing_limit
         if t > self._batch_close:
             # The open batch's window has passed: its count must not
@@ -164,17 +187,24 @@ class ThreadCombiner:
             clock = thread.clock
             if now > clock._now:
                 clock._now = now
-        submit_at = max(min(floor, done), t)
-        # thread.wait_until(done) inlined.
-        if done > thread.now:
-            thread.now = done
-            clock = thread.clock
-            if done > clock._now:
-                clock._now = done
-        if metrics.enabled:
-            metrics.phase("read", "combining_wait", submit_at - t)
-            metrics.phase("read", "ssd_wait", max(0.0, done - submit_at))
+        self.submitted_at = max(min(floor, done), t)
         return done
+
+    def record_wait(
+        self,
+        metrics: MetricsRegistry,
+        start: float,
+        submitted_at: float,
+        done: float,
+    ) -> None:
+        """Split a wait from ``start`` to ``done`` into the combining
+        wait (until ``submitted_at``) and the SSD wait (the rest).  The
+        sync strawman has no combining step: all of it is SSD wait."""
+        if self.mode == MODE_SYNC:
+            metrics.phase("read", "ssd_wait", done - start)
+            return
+        metrics.phase("read", "combining_wait", submitted_at - start)
+        metrics.phase("read", "ssd_wait", max(0.0, done - submitted_at))
 
     def _place(self, at: float, req: IORequest) -> float:
         """Put one SQE on the ring, retrying transient faults if the

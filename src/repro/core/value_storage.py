@@ -324,21 +324,23 @@ class ValueStorage:
         return self._slot(chunk_id, offset).size
 
     def parse_record(
-        self, raw: bytes, where: str = "", device: str = ""
+        self, raw: bytes, where: str = "", device: str = "", at: int = 0
     ) -> Tuple[int, bytes]:
-        """Split a raw record into (backward pointer, value).
+        """Split the raw record starting at ``raw[at]`` into (backward
+        pointer, value).  ``at`` lets a merged multi-record read be
+        parsed in place, without copying its tail per record.
 
         With checksums enabled the stored CRC32 is verified over header
         + payload; a mismatch raises :class:`CorruptionError` naming
         ``device`` (defaults to the primary SSD) and ``where``.
         """
-        hsit_idx = int.from_bytes(raw[:8], "little")
-        size = int.from_bytes(raw[8:12], "little")
+        hsit_idx = int.from_bytes(raw[at : at + 8], "little")
+        size = int.from_bytes(raw[at + 8 : at + 12], "little")
         if not self.checksums:
-            return hsit_idx, raw[12 : 12 + size]
-        stored = int.from_bytes(raw[12:16], "little")
-        value = raw[16 : 16 + size]
-        if len(value) != size or record_crc(raw[:12], value) != stored:
+            return hsit_idx, raw[at + 12 : at + 12 + size]
+        stored = int.from_bytes(raw[at + 12 : at + 16], "little")
+        value = raw[at + 16 : at + 16 + size]
+        if len(value) != size or record_crc(raw[at : at + 12], value) != stored:
             raise CorruptionError(
                 device or self.ssd.name, where or f"vs{self.vs_id} record"
             )

@@ -35,6 +35,13 @@ class TestStoragePicking:
         assert first.vs_id != second.vs_id
 
 
+def _fetch_merged(store, vs_id, items, t):
+    """Plan, read and parse one Value Storage's merged scan batch."""
+    requests, runs = store._plan_merged(vs_id, items)
+    store.combiners[vs_id].read(t, requests)
+    return store._parse_merged(vs_id, requests, runs, t)
+
+
 class TestMergedScanReads:
     def test_adjacent_records_merge_into_one_io(self, store, t):
         """After reorganization, a scan over a contiguous range costs
@@ -49,7 +56,7 @@ class TestMergedScanReads:
             store.hsit.publish_location(idx, ptr.encode_vs(0, chunk, off))
             items.append((chunk, off, idx, b"k%02d" % idx))
         ios_before = vs.ssd.read_ios
-        out = store._fetch_merged(0, items, t)
+        out = _fetch_merged(store, 0, items, t)
         assert vs.ssd.read_ios == ios_before + 1  # single merged read
         assert [v for _, _, v in out] == [b"v%02d" % i for i in range(10)]
 
@@ -64,7 +71,7 @@ class TestMergedScanReads:
             store.hsit.publish_location(idx, ptr.encode_vs(0, chunk, off))
             items.append((chunk, off, idx, b"k%d" % i))
         ios_before = vs.ssd.read_ios
-        store._fetch_merged(0, items, t)
+        _fetch_merged(store, 0, items, t)
         assert vs.ssd.read_ios == ios_before + 4
 
 

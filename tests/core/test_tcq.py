@@ -177,3 +177,60 @@ class TestOversizedLeader:
 
 def test_average_batch_empty(ring):
     assert ThreadCombiner(ring).average_batch() == 0.0
+
+
+class TestSubmitThenWait:
+    """``read`` is ``submit`` followed by the wait: same completions,
+    same thread times, same batch accounting, in every mode."""
+
+    @staticmethod
+    def _drive(mode, call):
+        # A leader, a follower inside its window, and a late leader
+        # whose request list overflows the queue depth.
+        ring = IOUring(SSDDevice(FLASH_SSD_GEN4_SPEC.with_capacity(64 * MB)), 64)
+        combiner = ThreadCombiner(ring, mode=mode, combine_window=2e-6)
+        clock = VirtualClock()
+        threads = [VThread(i, clock) for i in range(3)]
+        threads[1].now = 0.5e-6
+        threads[2].now = 300e-6
+        sizes = [3, 2, 70]
+        dones = []
+        for t, n in zip(threads, sizes):
+            dones.append(call(combiner, t, [_read(i * 4096) for i in range(n)]))
+        return (
+            [repr(d) for d in dones],
+            [repr(t.now) for t in threads],
+            combiner.batches,
+            combiner.combined_requests,
+        )
+
+    @pytest.mark.parametrize(
+        "mode", [MODE_THREAD_COMBINING, MODE_TIMEOUT_ASYNC, MODE_SYNC]
+    )
+    def test_read_equals_submit_then_wait(self, mode):
+        def submit_then_wait(combiner, t, reqs):
+            done = combiner.submit(t, reqs)
+            t.wait_until(done)
+            return done
+
+        def read(combiner, t, reqs):
+            return combiner.read(t, reqs)
+
+        assert self._drive(mode, submit_then_wait) == self._drive(mode, read)
+
+    def test_submit_does_not_wait(self, ring):
+        combiner = ThreadCombiner(ring)
+        t = VThread(0)
+        reqs = [_read(i * 4096) for i in range(4)]
+        done = combiner.submit(t, reqs)
+        assert t.now < done  # the leader paid only its submit cost
+        # Its batch left the TCQ when the combining window closed.
+        assert combiner.submitted_at == combiner.combine_window
+        assert done == max(r.completion for r in reqs)
+
+    def test_sync_submit_blocks(self, ring):
+        combiner = ThreadCombiner(ring, mode=MODE_SYNC)
+        t = VThread(0)
+        reqs = [_read(i * 4096) for i in range(4)]
+        done = combiner.submit(t, reqs)
+        assert t.now == done == max(r.completion for r in reqs)
